@@ -32,7 +32,7 @@ from repro.auditor.schema import validate_audit_record
 AUDIT_DIR_ENV = "REPRO_AUDIT_DIR"
 
 
-class AuditLedgerError(RuntimeError):
+class AuditLedgerError(jsonlio.JsonlError):
     """An audit ledger file that cannot be read (corrupt line, bad schema)."""
 
 

@@ -4,8 +4,9 @@ The audit ledger is append-only JSONL (see
 :mod:`repro.auditor.ledger`), so a malformed line written today is a
 broken ``repro audit-report`` next month.  Exactly like the benchmark
 ledger (:mod:`repro.benchledger.schema`), every record passes through
-this module on *both* write and read, stdlib-only, with
-JSON-pointer-ish error paths (``properties.SP``).
+this module on *both* write and read, declared over the shared kernel
+(:mod:`repro.schema`) with JSON-pointer-ish error paths
+(``properties.SP``).
 
 One ``repro/audit-v1`` record::
 
@@ -25,7 +26,19 @@ One ``repro/audit-v1`` record::
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional, Tuple
+
+from repro.schema import (
+    Schema,
+    SchemaError,
+    integer,
+    list_of,
+    nullable,
+    number,
+    one_of,
+    tag,
+    text,
+)
 
 AUDIT_SCHEMA = "repro/audit-v1"
 
@@ -40,114 +53,54 @@ PROPERTY_MARKS = ("yes", "no", "n/a")
 VERDICTS = ("pass", "fail", "error")
 
 
-class AuditSchemaError(ValueError):
+class AuditSchemaError(SchemaError, ValueError):
     """A record that does not conform to ``repro/audit-v1``."""
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
 
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise AuditSchemaError(path, message)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _require_name(value: Any, path: str) -> None:
-    _require(
-        isinstance(value, str) and bool(value.strip()),
-        path,
-        f"expected a non-empty string, got {value!r}",
-    )
-
-
-def validate_audit_record(record: Any) -> Any:
-    """Validate one ``repro/audit-v1`` record; returns it unchanged."""
-    _require(
-        isinstance(record, Mapping), "", f"expected an object, got {record!r}"
-    )
-    _require(
-        record.get("schema") == AUDIT_SCHEMA,
-        "schema",
-        f"expected {AUDIT_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    _require(
-        _is_number(record.get("created_unix")),
-        "created_unix",
-        f"expected a unix timestamp, got {record.get('created_unix')!r}",
-    )
-    for field in ("scenario", "scheduler", "fingerprint"):
-        _require_name(record.get(field), field)
-    seed = record.get("seed")
-    _require(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "seed",
-        f"expected an integer seed, got {seed!r}",
-    )
-    verdict = record.get("verdict")
-    _require(
-        verdict in VERDICTS,
-        "verdict",
-        f"expected one of {VERDICTS}, got {verdict!r}",
-    )
-
-    properties = record.get("properties")
-    _require(
-        isinstance(properties, Mapping),
-        "properties",
-        f"expected an object, got {properties!r}",
-    )
-    for key in PROPERTY_KEYS:
-        mark = properties.get(key)
-        _require(
-            mark in PROPERTY_MARKS,
-            f"properties.{key}",
-            f"expected one of {PROPERTY_MARKS}, got {mark!r}",
+def _verdict_rules(record: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+    verdict = record["verdict"]
+    if verdict == "fail" and not record["violations"]:
+        return (
+            "violations",
+            "a 'fail' verdict must name at least one violated property",
         )
-    unknown = sorted(set(properties) - set(PROPERTY_KEYS))
-    _require(
-        not unknown,
-        "properties",
-        f"unknown property keys {unknown}; known: {list(PROPERTY_KEYS)}",
-    )
-
-    violations = record.get("violations")
-    _require(
-        isinstance(violations, list),
-        "violations",
-        f"expected a list, got {violations!r}",
-    )
-    for index, name in enumerate(violations):
-        # built-in property keys or user-registered custom check names
-        _require_name(name, f"violations[{index}]")
-    _require(
-        verdict != "fail" or bool(violations),
-        "violations",
-        "a 'fail' verdict must name at least one violated property",
-    )
-
-    elapsed = record.get("elapsed_s")
-    _require(
-        _is_number(elapsed) and elapsed >= 0,
-        "elapsed_s",
-        f"expected a non-negative duration, got {elapsed!r}",
-    )
-
-    error = record.get("error")
-    if verdict == "error":
-        _require_name(error, "error")
-    else:
-        _require(
-            error is None,
+    has_error = record.get("error") is not None
+    if verdict == "error" and not has_error:
+        return ("error", "an 'error' verdict must carry an error message")
+    if verdict != "error" and has_error:
+        return (
             "error",
-            f"only 'error' verdicts carry an error message, got {error!r}",
+            f"only 'error' verdicts carry an error message, got "
+            f"{record['error']!r}",
         )
-    return record
+    return None
+
+
+AUDIT_RECORD = Schema(
+    {
+        "schema": tag(AUDIT_SCHEMA),
+        "created_unix": number(),
+        "scenario": text(),
+        "scheduler": text(),
+        "fingerprint": text(),
+        "seed": integer(),
+        "verdict": one_of(VERDICTS),
+        "properties": Schema(
+            {key: one_of(PROPERTY_MARKS) for key in PROPERTY_KEYS},
+            closed=True,
+        ),
+        # built-in property keys or user-registered custom check names
+        "violations": list_of(text()),
+        "elapsed_s": number(ge=0),
+        "error": nullable(text()),
+    },
+    optional=("error",),
+    hook=_verdict_rules,
+    error=AuditSchemaError,
+)
+
+#: One ``repro/audit-v1`` record; returns it unchanged.
+validate_audit_record = AUDIT_RECORD.validate
 
 
 __all__ = [

@@ -57,7 +57,7 @@ LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
 DEFAULT_LEDGER_DIR = os.path.join("benchmarks", "ledger")
 
 
-class LedgerError(RuntimeError):
+class LedgerError(jsonlio.JsonlError):
     """A ledger file that cannot be read (corrupt line, bad schema)."""
 
 

@@ -24,12 +24,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple
 
-from repro.benchledger.schema import BenchSchemaError
+from repro.benchledger.schema import MANIFEST, BenchSchemaError
+from repro.schema import Schema
 
 #: Manifest fields that must match for wall-clock statistics from two
 #: runs to be meaningfully compared.  The git SHA is deliberately *not*
 #: here: comparing across commits is the entire point of a trajectory.
 COMPARABILITY_FIELDS = ("hostname", "python", "platform")
+
+#: The slice of a ``repro/bench-v1`` record a manifest is built from.
+_PROVENANCE = Schema({"run": MANIFEST}, error=BenchSchemaError)
 
 
 @dataclass(frozen=True)
@@ -48,17 +52,7 @@ class Manifest:
         config: Mapping[str, object] | None = None,
     ) -> "Manifest":
         """Build from a ``repro/bench-v1`` record's ``run`` block."""
-        run = record.get("run")
-        if not isinstance(run, Mapping):
-            raise BenchSchemaError("run", f"expected an object, got {run!r}")
-        missing = [
-            key for key in ("git_sha", "hostname", "python", "platform")
-            if not run.get(key)
-        ]
-        if missing:
-            raise BenchSchemaError(
-                f"run.{missing[0]}", "missing provenance field"
-            )
+        run = _PROVENANCE.validate(record)["run"]
         return cls(
             git_sha=str(run["git_sha"]),
             hostname=str(run["hostname"]),

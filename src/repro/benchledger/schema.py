@@ -8,9 +8,9 @@ inside a compare or a plot.  This module is the single chokepoint both
 (on write *and* read) route through, so a malformed record can never
 enter the trajectory.
 
-Validation is deliberately stdlib-only — no ``jsonschema`` dependency —
-and errors carry a JSON-pointer-ish ``path`` (``rows[3].p95``) so the
-offending field is one glance away.
+Both shapes are declarations over the shared kernel
+(:mod:`repro.schema`), so errors carry a JSON-pointer-ish ``path``
+(``rows[3].p95``) and the offending field is one glance away.
 
 The two document shapes:
 
@@ -34,7 +34,18 @@ The two document shapes:
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Mapping, Optional, Tuple
+
+from repro.schema import (
+    Schema,
+    SchemaError,
+    integer,
+    list_of,
+    nullable,
+    number,
+    tag,
+    text,
+)
 
 BENCH_SCHEMA = "repro/bench-v1"
 LEDGER_SCHEMA = "repro/ledger-v1"
@@ -52,169 +63,85 @@ ROW_STATS = ("mean", "p50", "p95")
 MANIFEST_FIELDS = ("git_sha", "hostname", "python", "platform")
 
 
-class BenchSchemaError(ValueError):
+class BenchSchemaError(SchemaError, ValueError):
     """A record or ledger entry that does not conform to its schema.
 
     ``path`` points at the offending field (``rows[2].p50``,
     ``run.git_sha``); ``str(exc)`` embeds it.
     """
 
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}" if path else message)
 
-
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise BenchSchemaError(path, message)
-
-
-def _is_number(value: Any) -> bool:
-    # bool is an int subclass but "samples: true" is never a count
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate_number(value: Any, path: str) -> None:
-    _require(_is_number(value), path, f"expected a number, got {value!r}")
-    _require(value == value, path, "NaN is not a valid statistic")  # noqa: PLR0124
-    _require(value >= 0, path, f"negative timing statistic {value!r}")
-
-
-def validate_row(row: Any, path: str = "rows[?]") -> None:
-    """One benchmark row: ``name`` + mean/p50/p95 (+ integer samples)."""
-    _require(isinstance(row, Mapping), path, f"expected an object, got {row!r}")
-    name = row.get("name")
-    _require(
-        isinstance(name, str) and bool(name.strip()),
-        f"{path}.name",
-        f"every row needs a non-empty string name, got {name!r}",
-    )
-    for stat in ROW_STATS:
-        _require(stat in row, f"{path}.{stat}", "missing required statistic")
-        _validate_number(row[stat], f"{path}.{stat}")
-    samples = row.get("samples")
-    if samples is not None:
-        _require(
-            isinstance(samples, int) and not isinstance(samples, bool)
-            and samples >= 0,
-            f"{path}.samples",
-            f"expected a non-negative integer sample count, got {samples!r}",
-        )
-
-
-def validate_record(payload: Any) -> Any:
-    """Validate one ``repro/bench-v1`` document; returns it unchanged."""
-    _require(
-        isinstance(payload, Mapping), "", f"expected an object, got {payload!r}"
-    )
-    _require(
-        payload.get("schema") == BENCH_SCHEMA,
-        "schema",
-        f"expected {BENCH_SCHEMA!r}, got {payload.get('schema')!r}",
-    )
-    benchmark = payload.get("benchmark")
-    _require(
-        isinstance(benchmark, str) and bool(benchmark.strip()),
-        "benchmark",
-        f"expected a non-empty benchmark family name, got {benchmark!r}",
-    )
-    _require(
-        _is_number(payload.get("created_unix")),
-        "created_unix",
-        f"expected a unix timestamp, got {payload.get('created_unix')!r}",
-    )
-
-    run = payload.get("run")
-    _require(
-        isinstance(run, Mapping), "run", f"expected an object, got {run!r}"
-    )
-    for field in RUN_FIELDS:
-        value = run.get(field)
-        _require(
-            isinstance(value, str) and bool(value),
-            f"run.{field}",
-            f"expected a non-empty string, got {value!r}",
-        )
-
-    meta = payload.get("meta", {})
-    _require(
-        isinstance(meta, Mapping), "meta", f"expected an object, got {meta!r}"
-    )
-
-    rows = payload.get("rows")
-    _require(
-        isinstance(rows, list) and bool(rows),
-        "rows",
-        f"expected a non-empty list of rows, got {rows!r}",
-    )
+def _unique_row_names(record: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
     names = set()
-    for index, row in enumerate(rows):
-        validate_row(row, f"rows[{index}]")
-        _require(
-            row["name"] not in names,
-            f"rows[{index}].name",
-            f"duplicate row name {row['name']!r} (rows align by name in "
-            "historical compares)",
-        )
+    for index, row in enumerate(record["rows"]):
+        if row["name"] in names:
+            return (
+                f"rows[{index}].name",
+                f"duplicate row name {row['name']!r} (rows align by name "
+                "in historical compares)",
+            )
         names.add(row["name"])
-    return payload
+    return None
 
 
-def validate_entry(entry: Any) -> Any:
-    """Validate one ``repro/ledger-v1`` line; returns it unchanged."""
-    _require(
-        isinstance(entry, Mapping), "", f"expected an object, got {entry!r}"
-    )
-    _require(
-        entry.get("schema") == LEDGER_SCHEMA,
-        "schema",
-        f"expected {LEDGER_SCHEMA!r}, got {entry.get('schema')!r}",
-    )
-    run_id = entry.get("run_id")
-    _require(
-        isinstance(run_id, str) and bool(run_id.strip()),
-        "run_id",
-        f"expected a non-empty run id, got {run_id!r}",
-    )
-    family = entry.get("family")
-    _require(
-        isinstance(family, str) and bool(family.strip()),
-        "family",
-        f"expected a non-empty bench family, got {family!r}",
-    )
-    manifest = entry.get("manifest")
-    _require(
-        isinstance(manifest, Mapping),
-        "manifest",
-        f"expected an object, got {manifest!r}",
-    )
-    for field in MANIFEST_FIELDS:
-        value = manifest.get(field)
-        _require(
-            isinstance(value, str) and bool(value),
-            f"manifest.{field}",
-            f"expected a non-empty string, got {value!r}",
+def _family_matches_record(entry: Mapping[str, Any]) -> Optional[Tuple[str, str]]:
+    family, benchmark = entry["family"], entry["record"]["benchmark"]
+    if family != benchmark:
+        return (
+            "family",
+            f"family {family!r} does not match the record's benchmark "
+            f"{benchmark!r}",
         )
-    manifest_hash = entry.get("manifest_hash")
-    _require(
-        isinstance(manifest_hash, str) and bool(manifest_hash),
-        "manifest_hash",
-        f"expected a hash string, got {manifest_hash!r}",
-    )
-    try:
-        validate_record(entry.get("record"))
-    except BenchSchemaError as exc:
-        raise BenchSchemaError(
-            f"record.{exc.path}" if exc.path else "record", exc.message
-        ) from None
-    _require(
-        entry["record"]["benchmark"] == family,
-        "family",
-        f"family {family!r} does not match the record's benchmark "
-        f"{entry['record']['benchmark']!r}",
-    )
-    return entry
+    return None
+
+
+#: A ledger entry's ``manifest`` block; ``Manifest.from_record`` checks
+#: a record's ``run`` block against the same declaration.
+MANIFEST = Schema({field: text() for field in MANIFEST_FIELDS})
+
+ROW = Schema(
+    {
+        "name": text(),
+        **{stat: number(ge=0) for stat in ROW_STATS},
+        "samples": nullable(integer(ge=0)),
+    },
+    optional=("samples",),
+    error=BenchSchemaError,
+)
+
+RECORD = Schema(
+    {
+        "schema": tag(BENCH_SCHEMA),
+        "benchmark": text(),
+        "created_unix": number(),
+        "run": Schema({field: text() for field in RUN_FIELDS}),
+        "meta": Schema({}),
+        "rows": list_of(ROW, nonempty=True),
+    },
+    optional=("meta",),
+    hook=_unique_row_names,
+    error=BenchSchemaError,
+)
+
+ENTRY = Schema(
+    {
+        "schema": tag(LEDGER_SCHEMA),
+        "run_id": text(),
+        "family": text(),
+        "manifest": MANIFEST,
+        "manifest_hash": text(),
+        "record": RECORD,
+    },
+    hook=_family_matches_record,
+    error=BenchSchemaError,
+)
+
+#: One benchmark row: ``name`` + mean/p50/p95 (+ integer samples).
+validate_row = ROW.validate
+#: One ``repro/bench-v1`` document; returns it unchanged.
+validate_record = RECORD.validate
+#: One ``repro/ledger-v1`` line; returns it unchanged.
+validate_entry = ENTRY.validate
 
 
 __all__ = [

@@ -12,79 +12,43 @@ plus the routing facts a reader needs to regroup an interleaved stream
      "total_throughput": 21.7, "utilization": 0.92, "jain": 0.98,
      "envy": 0.05, "starved_jobs": 0}
 
-Validation is stdlib-only and reports JSON-pointer-ish paths, the same
-idiom as the bench and audit schemas.
+The record is declared over the shared kernel (:mod:`repro.schema`),
+like the bench and audit schemas, and errors name the offending field.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.exceptions import ValidationError
+from repro.schema import Schema, SchemaError, integer, number, tag, text
 
 #: Schema tag carried by every streamed fleet-round record.
 FLEETMETRICS_SCHEMA = "repro/fleetmetrics-v1"
 
 
-class FleetSchemaError(ValidationError):
+class FleetSchemaError(SchemaError):
     """A fleet metrics record that violates ``repro/fleetmetrics-v1``."""
 
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
 
+FLEET_RECORD = Schema(
+    {
+        "schema": tag(FLEETMETRICS_SCHEMA),
+        "fleet": text(),
+        "region": text(),
+        "seed": integer(),
+        "scheduler": text(),
+        "round": integer(ge=0),
+        "time": number(ge=0),
+        "active_tenants": integer(ge=0),
+        "total_throughput": number(ge=0),
+        "utilization": number(ge=0),
+        "jain": number(ge=0, le=1),
+        "envy": number(ge=0, le=1),
+        "starved_jobs": integer(ge=0),
+    },
+    error=FleetSchemaError,
+)
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise FleetSchemaError(path, message)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def validate_fleet_record(record: Mapping[str, object]) -> None:
-    """Reject anything that is not a well-formed fleet-round record."""
-    _require(isinstance(record, Mapping), "$", "record must be an object")
-    _require(
-        record.get("schema") == FLEETMETRICS_SCHEMA,
-        "schema",
-        f"must be {FLEETMETRICS_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    for key in ("fleet", "region", "scheduler"):
-        value = record.get(key)
-        _require(
-            isinstance(value, str) and value != "",
-            key,
-            "must be a non-empty string",
-        )
-    _require(_is_int(record.get("seed")), "seed", "must be an integer")
-    for key in ("round", "active_tenants", "starved_jobs"):
-        value = record.get(key)
-        _require(
-            _is_int(value) and value >= 0,  # type: ignore[operator]
-            key,
-            "must be an integer >= 0",
-        )
-    for key in ("time", "total_throughput", "utilization"):
-        value = record.get(key)
-        _require(
-            _is_number(value) and float(value) >= 0.0,  # type: ignore[arg-type]
-            key,
-            "must be a number >= 0",
-        )
-    for key in ("jain", "envy"):
-        value = record.get(key)
-        _require(
-            _is_number(value)
-            and 0.0 <= float(value) <= 1.0,  # type: ignore[arg-type]
-            key,
-            "must be a number in [0, 1]",
-        )
+#: Reject anything that is not a well-formed fleet-round record.
+validate_fleet_record = FLEET_RECORD.validate
 
 
 __all__ = ["FLEETMETRICS_SCHEMA", "FleetSchemaError", "validate_fleet_record"]

@@ -18,13 +18,20 @@ this to keep streaming cheap).
 
 Reads validate every line and report failures with ``{path}:{lineno}``
 so a corrupt or hand-mangled line is caught where it lives, not
-downstream in a compare or aggregate.
+downstream in a compare or aggregate.  The one tolerated defect is a
+torn tail: a *final* line with no trailing newline that does not parse
+is what a crash or a short write mid-append leaves behind, so readers
+skip it with a ``RuntimeWarning`` instead of refusing the whole stream.
+Writers do the opposite and refuse to append after it: the new line
+would merge with the fragment into one bad line mid-stream, and every
+later read would refuse.  The fragment has to be cut out by hand.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from typing import (
     Callable,
     Dict,
@@ -61,13 +68,50 @@ def dump_line(entry: Mapping[str, object]) -> bytes:
     ).encode("utf-8")
 
 
+def _line_break_needed(fd: int, path: str) -> bytes:
+    """What must precede a new line so it does not merge with the last.
+
+    ``b""`` when the stream is empty or ends in a newline; ``b"\n"``
+    when its final line is whole but unterminated (hand-edited files).
+    A torn final line raises: appending after it would glue the new
+    line onto the fragment and leave one bad line mid-stream, which
+    every later read refuses.
+    """
+    size = os.fstat(fd).st_size
+    if not size or os.pread(fd, 1, size - 1) == b"\n":
+        return b""
+    with open(path, "rb") as handle:
+        content = handle.read()
+    tail = content[content.rfind(b"\n") + 1:]
+    lineno = content.count(b"\n") + 1
+    try:
+        if tail.strip():
+            json.loads(tail)
+    except ValueError:
+        raise JsonlError(
+            f"{path}:{lineno}: ends in a torn line "
+            f"({len(tail)} bytes, no trailing newline); cut it out "
+            "before appending"
+        ) from None
+    return b"\n"
+
+
 def _append_bytes(path: str, data: bytes) -> None:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
-        os.write(fd, data)
+        data = _line_break_needed(fd, path) + data
+        # never loop on a short write: a second write(2) could land
+        # after another appender's line and split this one in two
+        written = os.write(fd, data)
+        if written != len(data):
+            raise JsonlError(
+                f"{path}: short write ({written} of {len(data)} bytes) "
+                "left a torn final line; reads skip it, appends refuse "
+                "until it is cut out"
+            )
         os.fsync(fd)
     finally:
         os.close(fd)
@@ -101,10 +145,12 @@ def read_jsonl(
     """All validated entries of one stream, in append order.
 
     A missing file reads as the empty stream.  Blank lines are skipped
-    (a crash mid-write can leave a trailing newline).  A line that is
-    not valid JSON, or that ``validate`` rejects, raises ``error_cls``
-    with the offending ``{path}:{lineno}`` so the bad line can be found
-    and excised by hand.
+    (a crash mid-write can leave a trailing newline), and so is a torn
+    tail — a final line without its newline that is not valid JSON —
+    with a ``RuntimeWarning`` naming ``{path}:{lineno}``.  Any other
+    line that is not valid JSON, or that ``validate`` rejects, raises
+    ``error_cls`` with the offending ``{path}:{lineno}`` so the bad line
+    can be found and excised by hand.
     """
     if not os.path.exists(path):
         return []
@@ -116,6 +162,14 @@ def read_jsonl(
             try:
                 entry = json.loads(line)
             except json.JSONDecodeError as exc:
+                if not line.endswith("\n"):  # torn tail: only the last line
+                    warnings.warn(
+                        f"{path}:{lineno}: skipping a torn final line "
+                        "(no trailing newline, not valid JSON)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    break
                 raise error_cls(
                     f"{path}:{lineno}: not valid JSON ({exc})"
                 ) from None

@@ -22,6 +22,7 @@ from repro.traces.store import (
     DEFAULT_TRACE_DIR,
     TRACE_DIR_ENV,
     TRACE_SCHEMA,
+    TraceSchemaError,
     TraceStore,
     validate_trace_record,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "TRACE_DIR_ENV",
     "TRACE_PREFIX",
     "TRACE_SCHEMA",
+    "TraceSchemaError",
     "TraceStore",
     "build_trace_replay",
     "ingest_file",

@@ -31,6 +31,15 @@ from repro.exceptions import (
     UnknownTraceError,
     unknown_name_message,
 )
+from repro.schema import (
+    Schema,
+    SchemaError,
+    integer,
+    nullable,
+    number,
+    tag,
+    text,
+)
 
 #: Schema tag carried by every stored trace record.
 TRACE_SCHEMA = "repro/trace-v1"
@@ -43,56 +52,26 @@ TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 DEFAULT_TRACE_DIR = "traces"
 
 
-def _require(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise TraceFormatError(f"{path}: {message}")
+class TraceSchemaError(SchemaError, TraceFormatError):
+    """A stored job record that violates ``repro/trace-v1``."""
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+TRACE_RECORD = Schema(
+    {
+        "schema": tag(TRACE_SCHEMA),
+        "job_id": text(),
+        "tenant": text(),
+        "submit_s": number(ge=0),
+        "duration_s": number(gt=0),
+        "num_workers": integer(ge=1),
+        "model": nullable(text()),
+    },
+    optional=("model",),
+    error=TraceSchemaError,
+)
 
-
-def validate_trace_record(record: Mapping[str, object]) -> None:
-    """Reject anything that is not a well-formed ``repro/trace-v1`` job."""
-    _require(isinstance(record, Mapping), "$", "record must be an object")
-    _require(
-        record.get("schema") == TRACE_SCHEMA,
-        "schema",
-        f"must be {TRACE_SCHEMA!r}, got {record.get('schema')!r}",
-    )
-    for key in ("job_id", "tenant"):
-        value = record.get(key)
-        _require(
-            isinstance(value, str) and value != "",
-            key,
-            "must be a non-empty string",
-        )
-    submit = record.get("submit_s")
-    _require(
-        _is_number(submit) and float(submit) >= 0.0,
-        "submit_s",
-        "must be a number >= 0",
-    )
-    duration = record.get("duration_s")
-    _require(
-        _is_number(duration) and float(duration) > 0.0,
-        "duration_s",
-        "must be a number > 0",
-    )
-    workers = record.get("num_workers")
-    _require(
-        isinstance(workers, int)
-        and not isinstance(workers, bool)
-        and workers >= 1,
-        "num_workers",
-        "must be an integer >= 1",
-    )
-    model = record.get("model")
-    _require(
-        model is None or (isinstance(model, str) and model != ""),
-        "model",
-        "must be null or a non-empty string",
-    )
+#: Reject anything that is not a well-formed ``repro/trace-v1`` job.
+validate_trace_record = TRACE_RECORD.validate
 
 
 class TraceStore:
@@ -166,6 +145,7 @@ __all__ = [
     "DEFAULT_TRACE_DIR",
     "TRACE_DIR_ENV",
     "TRACE_SCHEMA",
+    "TraceSchemaError",
     "TraceStore",
     "validate_trace_record",
 ]

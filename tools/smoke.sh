@@ -45,6 +45,20 @@ echo "== repro frontier (thread backend) =="
     --backend thread --jobs 2 | tee "$TMP/frontier_thread.txt"
 diff "$TMP/frontier.txt" "$TMP/frontier_thread.txt"
 
+echo "== repro allocate on a missing file (typed error, exit 2) =="
+# bad input must end in one "error:" line and exit code 2, never a traceback
+set +e
+"$PY" -m repro allocate "$TMP/missing.json" 2> "$TMP/missing_err.txt"
+status=$?
+set -e
+cat "$TMP/missing_err.txt"
+test "$status" -eq 2
+grep -q "^error: " "$TMP/missing_err.txt"
+if grep -q "Traceback" "$TMP/missing_err.txt"; then
+    echo "bad input raised a traceback" >&2
+    exit 1
+fi
+
 echo "== repro solve --pipeline default vs --pipeline bare (gateway gate) =="
 "$PY" -m repro solve "$TMP/instance.json" --scheduler oef-coop \
     --pipeline default --output "$TMP/alloc_default.json"
