@@ -26,12 +26,14 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.allocation import Allocation
 from repro.core.base import Allocator
+from repro.core.cooperative import CooperativeOEF, _capacity_rows, _share_bounds
 from repro.core.instance import ProblemInstance
 from repro.core.speedup import SpeedupMatrix
-from repro.solver import LinearProgram, dot
+from repro.solver import StandardForm, solve_form
 
 _DEFAULT_TOL = 1e-6
 
@@ -162,6 +164,58 @@ def check_sharing_incentive(
     )
 
 
+def _max_throughput(
+    instance: ProblemInstance,
+    floors: np.ndarray,
+    within: Optional[str],
+    backend: str,
+) -> float:
+    """Max total throughput with a per-tenant floor, inside a PE domain.
+
+    A direct sparse form built from index arrays: negated floor rows
+    ``W_u . x_u >= floor_u``, the domain block (negated envy rows, or
+    ``W_u . x_u == W_0 . x_0`` equalities), then capacity rows — the
+    Bland-rule simplex pivots by row order and is far slower with the
+    capacity rows first.  Not put in ``FORM_CACHE``: the floors come from
+    the allocation under audit, so no two audits share a key.
+    """
+    speedups = instance.speedups.values
+    num_users, num_types = speedups.shape
+    num_vars = num_users * num_types
+    # row u holds W_u at user u's columns: a block-diagonal CSR by indptr
+    throughput_rows = sparse.csr_matrix(
+        (
+            speedups.ravel(),
+            np.arange(num_vars),
+            np.arange(0, num_vars + 1, num_types),
+        ),
+        shape=(num_users, num_vars),
+    )
+    ub_blocks = [-throughput_rows]
+    ub_rhs = [-np.asarray(floors, dtype=float)]
+    a_eq = b_eq = None
+    if within == "envy_free":
+        ub_blocks.append(-CooperativeOEF._envy_rows(speedups))
+        ub_rhs.append(np.zeros(num_users * (num_users - 1)))
+    elif within == "equal_throughput":
+        first = throughput_rows[np.zeros(num_users - 1, dtype=np.int64)]
+        a_eq, b_eq = throughput_rows[1:] - first, np.zeros(num_users - 1)
+    elif within is not None:
+        raise ValueError(f"unknown PE domain {within!r}")
+    ub_blocks.append(_capacity_rows(num_users, num_types))
+    ub_rhs.append(np.asarray(instance.capacities, dtype=float))
+    form = StandardForm(
+        c=-speedups.ravel(),
+        a_ub=sparse.vstack(ub_blocks, format="csr"),
+        b_ub=np.concatenate(ub_rhs),
+        a_eq=a_eq,
+        b_eq=b_eq,
+        bounds=_share_bounds(num_vars),
+        maximise=True,
+    )
+    return solve_form(form, backend=backend).objective
+
+
 def check_pareto_efficiency(
     allocation: Allocation,
     tol: float = 1e-5,
@@ -182,45 +236,11 @@ def check_pareto_efficiency(
     * ``"equal_throughput"`` — improvements must keep throughput equal
       across tenants (Eq. 9c).
     """
-    instance = allocation.instance
-    speedups = instance.speedups.values
-    num_users, num_types = speedups.shape
     current = allocation.user_throughput()
-
-    lp = LinearProgram("pareto-test")
-    shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-    flat = list(shares.ravel())
-    for type_index in range(num_types):
-        coeff = np.zeros((1, num_users * num_types))
-        coeff[0, type_index::num_types] = 1.0
-        lp.add_matrix_constraints(
-            coeff, flat, "<=", float(instance.capacities[type_index])
-        )
     slack = tol * max(1.0, float(np.abs(current).max()))
-    for user in range(num_users):
-        lp.add_constraint(
-            dot(speedups[user], shares[user]) >= float(current[user]) - slack
-        )
-    if within == "envy_free":
-        for user in range(num_users):
-            for other in range(num_users):
-                if other != user:
-                    lp.add_constraint(
-                        dot(speedups[user], shares[user])
-                        - dot(speedups[user], shares[other])
-                        >= 0.0
-                    )
-    elif within == "equal_throughput":
-        for user in range(1, num_users):
-            lp.add_constraint(
-                dot(speedups[user], shares[user])
-                - dot(speedups[0], shares[0])
-                == 0.0
-            )
-    elif within is not None:
-        raise ValueError(f"unknown PE domain {within!r}")
-    lp.set_objective(dot(speedups.ravel(), flat), sense="max")
-    achievable = lp.solve(backend=backend).objective
+    achievable = _max_throughput(
+        allocation.instance, current - slack, within, backend
+    )
     current_total = float(current.sum())
     # relative tolerance: LP solvers return slightly-off vertex values
     satisfied = achievable <= current_total + tol * max(1.0, abs(current_total))
@@ -250,7 +270,6 @@ def constrained_optimal_efficiency(
       * ``"equal_throughput"`` — Eq. (9), the non-cooperative OEF optimum;
       * ``"sharing_incentive"`` — capacity + SI lower bounds.
     """
-    from repro.core.cooperative import CooperativeOEF, EfficiencyMaxAllocator
     from repro.core.noncooperative import NonCooperativeOEF
 
     if constraint == "none":
@@ -260,22 +279,9 @@ def constrained_optimal_efficiency(
     if constraint == "equal_throughput":
         return NonCooperativeOEF(backend=backend).allocate(instance).total_efficiency()
     if constraint == "sharing_incentive":
-        speedups = instance.speedups.values
-        num_users, num_types = speedups.shape
-        fair = instance.equal_split_throughput()
-        lp = LinearProgram("si-optimal")
-        shares = lp.new_variable_array("x", (num_users, num_types), lower=0.0)
-        flat = list(shares.ravel())
-        for type_index in range(num_types):
-            coeff = np.zeros((1, num_users * num_types))
-            coeff[0, type_index::num_types] = 1.0
-            lp.add_matrix_constraints(
-                coeff, flat, "<=", float(instance.capacities[type_index])
-            )
-        for user in range(num_users):
-            lp.add_constraint(dot(speedups[user], shares[user]) >= float(fair[user]))
-        lp.set_objective(dot(speedups.ravel(), flat), sense="max")
-        return lp.solve(backend=backend).objective
+        return _max_throughput(
+            instance, instance.equal_split_throughput(), None, backend
+        )
     raise ValueError(f"unknown constraint set {constraint!r}")
 
 

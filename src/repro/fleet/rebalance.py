@@ -48,8 +48,9 @@ from repro.scenarios.events import (
 from repro.workloads.models import throughput_vector
 
 #: Above this many fleet-wide tenants the exact PE/SI LPs are skipped
-#: and the window reports ``checked=False`` (the 10k-tenant acceptance
-#: run must not spend its wall-clock inside property LPs).
+#: and the window reports ``checked=False``.  The cap bounds the PE LP's
+#: O(n^2) envy rows (n(n-1) of them inside the ``envy_free`` domain),
+#: which would otherwise dominate the pre-pass on large fleets.
 DEFAULT_PROPERTY_CHECK_MAX_TENANTS = 256
 
 #: Quota weights are snapped to multiples of ``1/QUOTA_WEIGHT_DENOMINATOR``
@@ -107,6 +108,11 @@ class QuotaSchedule:
     @property
     def checked_windows(self) -> int:
         return sum(1 for window in self.windows if window.checked)
+
+    @property
+    def unchecked_windows(self) -> int:
+        """Windows whose PE/SI LPs were skipped (checks off or over the cap)."""
+        return len(self.windows) - self.checked_windows
 
     def for_region(
         self, region: str

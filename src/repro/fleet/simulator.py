@@ -168,6 +168,11 @@ class FleetResult:
         return self.quota.violations
 
     @property
+    def unchecked_windows(self) -> int:
+        """Rebalance windows that were not PE/SI-checked."""
+        return self.quota.unchecked_windows
+
+    @property
     def completed_jobs(self) -> int:
         return sum(region.completed_jobs for region in self.regions)
 

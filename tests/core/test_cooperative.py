@@ -12,7 +12,22 @@ from repro.core import (
     optimal_efficiency_upper_bound,
 )
 from repro.core.cooperative import EfficiencyMaxAllocator
+from repro.exceptions import SolverError
+from repro.solver import IncrementalLP, incremental_available
 from repro.workloads.generator import random_instance
+
+
+def _spy(monkeypatch, cls, name):
+    """Record calls to ``cls.name`` (still delegating); returns the log."""
+    calls = []
+    original = getattr(cls, name)
+
+    def recorded(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, recorded)
+    return calls
 
 
 class TestPaperExamples:
@@ -185,6 +200,41 @@ class TestCuttingPlanePaths:
         )
         assert check_envy_freeness(incremental, tol=1e-5).satisfied
         assert check_envy_freeness(legacy, tol=1e-5).satisfied
+
+    @pytest.mark.skipif(
+        not incremental_available(), reason="incremental HiGHS binding missing"
+    )
+    def test_incremental_solver_error_falls_back_to_linprog(self, monkeypatch):
+        # a SolverError from the persistent session must land in the
+        # per-round loop, not escape and not skip to the full program
+        instance = random_instance(80, 6, seed=11, devices_per_type=40.0)
+        expected = CooperativeOEF(method="cutting-plane").allocate(instance)
+
+        def broken_session(self):
+            raise SolverError("injected incremental failure")
+
+        monkeypatch.setattr(IncrementalLP, "solve", broken_session)
+        reached = _spy(monkeypatch, CooperativeOEF, "_cutting_plane_linprog")
+        full = _spy(monkeypatch, CooperativeOEF, "_solve_full")
+        fallback = CooperativeOEF(method="cutting-plane").allocate(instance)
+        assert reached and not full
+        assert fallback.total_efficiency() == pytest.approx(
+            expected.total_efficiency(), rel=1e-7
+        )
+
+    def test_cut_round_cap_falls_through_to_full_program(self, monkeypatch):
+        # one round cannot settle this instance; the capped loop must hand
+        # over to the O(n^2) program instead of returning a partial point
+        instance = random_instance(80, 6, seed=11, devices_per_type=40.0)
+        expected = CooperativeOEF(method="cutting-plane").allocate(instance)
+        monkeypatch.setattr(CooperativeOEF, "MAX_CUT_ROUNDS", 1)
+        full = _spy(monkeypatch, CooperativeOEF, "_solve_full")
+        capped = CooperativeOEF(method="cutting-plane").allocate(instance)
+        assert full
+        assert capped.total_efficiency() == pytest.approx(
+            expected.total_efficiency(), rel=1e-7
+        )
+        assert check_envy_freeness(capped, tol=1e-5).satisfied
 
     def test_cutting_plane_matches_full_form(self):
         # both regimes solve Eq. 10 exactly; objectives must agree

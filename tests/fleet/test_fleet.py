@@ -204,6 +204,26 @@ class TestRebalance:
         assert schedule.checked_windows == 0
         assert schedule.violations == 0  # unchecked is not a pass NOR a fail
 
+    @pytest.mark.parametrize(
+        "options",
+        [{"property_check_max_tenants": 1}, {"check_properties": False}],
+        ids=["over-cap", "checks-off"],
+    )
+    def test_skipped_checks_are_counted_unchecked(self, options):
+        fleet = make_fleet_scenario("hetero-generations", regions=2, rounds=8)
+        checked = compute_quota_schedule(fleet, window_rounds=4)
+        skipped = compute_quota_schedule(fleet, window_rounds=4, **options)
+        assert checked.unchecked_windows == 0
+        assert skipped.unchecked_windows == len(skipped.windows) > 0
+        assert skipped.checked_windows + skipped.unchecked_windows == len(
+            checked.windows
+        )
+        assert skipped.violations == 0
+        # the audit never feeds the replay: same weights, same timeline
+        assert [w.weights for w in skipped.windows] == [
+            w.weights for w in checked.windows
+        ]
+
     def test_shares_sum_to_one_and_weights_are_positive(self):
         fleet = make_fleet_scenario("spot-preemption", regions=2, rounds=12)
         schedule = compute_quota_schedule(fleet, window_rounds=4)
@@ -294,6 +314,16 @@ class TestFleetSimulator:
         assert len(with_quota.quota.windows) > 0
         assert without.quota.windows == ()
         assert with_quota.fingerprint() != without.fingerprint()
+
+    def test_unchecked_windows_leave_the_fingerprint_alone(self):
+        fleet = make_fleet_scenario("hetero-generations", regions=2, rounds=8)
+        checked = FleetSimulator(fleet, backend="serial", window_rounds=4).run()
+        unchecked = FleetSimulator(
+            fleet, backend="serial", window_rounds=4, check_properties=False
+        ).run()
+        assert checked.unchecked_windows == 0
+        assert unchecked.unchecked_windows == len(unchecked.quota.windows) > 0
+        assert unchecked.fingerprint() == checked.fingerprint()
 
     def test_seed_changes_the_fleet(self):
         results = [

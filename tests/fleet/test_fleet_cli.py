@@ -44,6 +44,19 @@ class TestFleetSim:
         assert "fleet fingerprint:" in out
         assert metrics.exists() and metrics.stat().st_size > 0
 
+    def test_summary_counts_checked_and_unchecked_windows(self, tmp_path, capsys):
+        args = [
+            "fleet-sim", "--scenario", "hetero-generations",
+            "--regions", "2", "--rounds", "12", "--window-rounds", "4",
+            "--backend", "serial", "--metrics", str(tmp_path / "fleet.jsonl"),
+        ]
+        assert main(args) == 0
+        checked = capsys.readouterr().out
+        assert main(args + ["--no-check"]) == 0
+        unchecked = capsys.readouterr().out
+        assert "(2 PE/SI-checked, 0 unchecked), fairness violations: 0" in checked
+        assert "(0 PE/SI-checked, 2 unchecked), fairness violations: 0" in unchecked
+
     def test_metrics_file_is_truncated_between_runs(self, tmp_path, capsys):
         metrics = tmp_path / "fleet.jsonl"
         args = [

@@ -162,7 +162,12 @@ echo "== repro fleet-sim (fleet-smoke: 4 regions, streamed metrics) =="
 test -s "$TMP/fleet.jsonl"
 grep -q '"schema": "repro/fleetmetrics-v1"' "$TMP/fleet.jsonl"
 grep -q "fairness violations: 0" "$TMP/fleet.txt"
+grep -q "PE/SI-checked, 0 unchecked)" "$TMP/fleet.txt"
 grep -q "fleet fingerprint:" "$TMP/fleet.txt"
+# with the audit off every window is counted unchecked, and that is no failure
+"$PY" -m repro fleet-sim --scenario multiregion-failover --regions 4 \
+    --no-check --metrics "$TMP/fleet_nocheck.jsonl" | tee "$TMP/fleet_nocheck.txt"
+grep -q "(0 PE/SI-checked, [1-9][0-9]* unchecked)" "$TMP/fleet_nocheck.txt"
 # the thread backend must replay the identical fleet
 "$PY" -m repro fleet-sim --scenario multiregion-failover --regions 4 \
     --backend thread --jobs 4 --metrics "$TMP/fleet2.jsonl" \
